@@ -1,6 +1,6 @@
 # Verification entry points. `make check test race` is what CI runs.
 
-.PHONY: all build check test race multicore lint bench bench-json fuzz manet-fuzz
+.PHONY: all build check test race multicore lint bench bench-json fuzz manet-fuzz fuzz-hash
 
 all: build check test
 
@@ -36,6 +36,12 @@ multicore:
 FUZZTIME ?= 30s
 fuzz manet-fuzz:
 	go test ./internal/invariant/prop -run FuzzScenario -fuzz FuzzScenario -fuzztime $(FUZZTIME)
+
+# Rendezvous-hash kernel fuzzing: Rendezvous.Select against the
+# byte-at-a-time FNV-1a reference on arbitrary (owner, level, salt,
+# keys). Go fuzzes one target per invocation, hence its own target.
+fuzz-hash:
+	go test ./internal/lm -run '^$$' -fuzz FuzzRendezvousSelect -fuzztime $(FUZZTIME)
 
 # Steady-state tick benchmarks, fresh vs reuse variants.
 bench:

@@ -610,3 +610,27 @@ func BenchmarkE19_HandoffLatency(b *testing.B) { benchExperiment(b, "E19") }
 
 // Ablation: group mobility (RPGM).
 func BenchmarkA6_GroupMobility(b *testing.B) { benchExperiment(b, "A6") }
+
+// benchSelectSink keeps the compiler from discarding measured Selects.
+var benchSelectSink int
+
+// BenchmarkRendezvousSelect measures the CHLM server-selection kernel
+// on candidate lists shaped like the hierarchy's (small logical IDs),
+// with the default zero salt and with a nonzero one.
+func BenchmarkRendezvousSelect(b *testing.B) {
+	for _, n := range []int{2, 8, 32} {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(3*i + 1)
+		}
+		for _, salt := range []uint64{0, 0x9E3779B9} {
+			h := lm.Rendezvous{Salt: salt}
+			b.Run(fmt.Sprintf("n=%d/salt=%#x", n, salt), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSelectSink += h.Select(uint64(i), 1+i&3, keys)
+				}
+			})
+		}
+	}
+}

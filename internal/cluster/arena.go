@@ -39,6 +39,7 @@ type Arena struct {
 	carrier   map[uint64]int
 	headSet   map[int]bool
 	headBuf   []int
+	liftBuf   []topology.EdgeKey
 }
 
 type chainSpan struct {
@@ -237,6 +238,21 @@ func (a *Arena) getHeadBuf() []int {
 func (a *Arena) putHeadBuf(s []int) {
 	if a != nil {
 		a.headBuf = s
+	}
+}
+
+// getLiftBuf returns the reusable edge-key buffer liftGraph fills;
+// hand the (possibly grown) slice back via putLiftBuf.
+func (a *Arena) getLiftBuf() []topology.EdgeKey {
+	if a == nil {
+		return nil
+	}
+	return a.liftBuf[:0]
+}
+
+func (a *Arena) putLiftBuf(s []topology.EdgeKey) {
+	if a != nil {
+		a.liftBuf = s
 	}
 }
 

@@ -234,18 +234,26 @@ func elect(lvl *Level, heads []int, a *Arena) {
 
 // liftGraph builds the level-(k+1) topology: clusters X and Y are
 // adjacent iff some level-k edge joins a member of X to a member of Y.
-// Arena a (nil-safe) supplies a recycled graph.
+// The lifted edge keys are sorted and deduplicated before the build,
+// so every adjacency list comes out ascending — the same canonical
+// order the incremental maintainer's sorted edge sets produce, and
+// independent of how g stores its edges. Arena a (nil-safe) supplies a
+// recycled graph and key buffer.
 func liftGraph(g *topology.Graph, lvl *Level, idSpace int, a *Arena) *topology.Graph {
-	up := a.getGraph(idSpace)
-	// AddEdge builds a set; the result is order-free, so the
-	// unspecified traversal order of incremental edges is fine.
-	g.ForEachEdge(func(k topology.EdgeKey) {
-		a, b := k.Nodes()
-		ca, cb := lvl.Member[a], lvl.Member[b]
-		if ca != cb {
-			up.AddEdge(ca, cb)
+	keys := g.AppendEdges(a.getLiftBuf())
+	n := 0
+	for _, e := range keys {
+		x, y := e.Nodes()
+		if cx, cy := lvl.Member[x], lvl.Member[y]; cx != cy {
+			keys[n] = topology.MakeEdgeKey(cx, cy)
+			n++
 		}
-	})
+	}
+	keys = keys[:n]
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	up := topology.BuildFromSortedEdgesInto(a.getGraph(idSpace), idSpace, keys)
+	a.putLiftBuf(keys)
 	return up
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -389,6 +390,45 @@ func TestIncrementalMatchesOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLevelAdjacencyAscending: under both maintainers every level-≥1
+// graph lists each node's neighbours in ascending order, whatever the
+// store order of the graph below. Routing over the hierarchy walks
+// Neighbors, so a map-ordered lift would make its paths vary run to
+// run. The level-0 graphs here are AddEdge-built (hash-set order).
+func TestLevelAdjacencyAscending(t *testing.T) {
+	w := newEdgeWorld(64, 3, 2.2/64)
+	drivers := []*maintDriver{
+		{mnt: NewOracleMaintainer(Config{}, NewIdentityTracker())},
+		{mnt: NewIncrementalMaintainer(Config{}, NewIdentityTracker())},
+	}
+	multi := 0
+	for i := 0; i < 60; i++ {
+		if i > 0 {
+			w.flip(1 + w.rng.Intn(4))
+		}
+		g, prevG, events := w.graph()
+		in := MaintainInput{G0: g, PrevG0: prevG, Nodes: w.all, Events: events, Now: float64(i)}
+		for _, d := range drivers {
+			h, _ := d.tick(in)
+			for k := 1; k < len(h.Levels); k++ {
+				for _, v := range h.Levels[k].Nodes {
+					nb := h.Levels[k].Graph.Neighbors(v)
+					if !slices.IsSorted(nb) {
+						t.Fatalf("tick %d, %s: level-%d Neighbors(%d) = %v not ascending",
+							i, d.mnt.Name(), k, v, nb)
+					}
+					if len(nb) > 1 {
+						multi++
+					}
+				}
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no level-≥1 node had two neighbours; the check is vacuous")
 	}
 }
 

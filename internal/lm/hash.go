@@ -46,15 +46,19 @@ type Rendezvous struct {
 func (r Rendezvous) Name() string { return "rendezvous" }
 
 // Select implements HashFamily.
+//
+//manet:hotpath
 func (r Rendezvous) Select(owner uint64, level int, keys []uint64) int {
 	if len(keys) == 0 {
 		panic("lm: Select with no candidates")
 	}
-	best := 0
-	bestW := hash4(owner, uint64(level), keys[0], r.Salt)
-	for i := 1; i < len(keys); i++ {
-		w := hash4(owner, uint64(level), keys[i], r.Salt)
-		if w < bestW || (w == bestW && keys[i] < keys[best]) {
+	// The (owner, level) prefix is common to every candidate: fold it
+	// once.
+	prefix := fnvFold(fnvFold(fnvOffset, owner), uint64(level))
+	best, bestW := 0, uint64(0)
+	for i, key := range keys {
+		w := mix64(fnvFold(fnvFold(prefix, key), r.Salt))
+		if i == 0 || w < bestW || (w == bestW && key < keys[best]) {
 			best, bestW = i, w
 		}
 	}
@@ -94,21 +98,43 @@ func (s Successor) Select(owner uint64, level int, keys []uint64) int {
 	return best
 }
 
-// hash4 mixes four words with FNV-1a over their bytes followed by a
-// finalizer, giving a uniform 64-bit weight.
-func hash4(a, b, c, d uint64) uint64 {
-	const (
-		offset = 0xCBF29CE484222325
-		prime  = 0x00000100000001B3
-	)
-	h := uint64(offset)
-	for _, w := range [4]uint64{a, b, c, d} {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xFF
-			h *= prime
-		}
+// The rendezvous weight of a candidate is FNV-1a over the 32
+// little-endian bytes of (owner, level, key, salt), followed by the
+// splitmix64 finalizer. It is evaluated in closed form: a zero byte's
+// round is just h *= fnvPrime, so the k zero bytes above a word's
+// highest nonzero byte are one multiply by fnvPrime^k, and only the
+// bytes up to that one need individual rounds.
+const (
+	fnvOffset = 0xCBF29CE484222325
+	fnvPrime  = 0x00000100000001B3
+)
+
+// fnvZeros[k] is fnvPrime^k: k FNV-1a rounds over zero bytes.
+var fnvZeros = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
-	// Final avalanche (splitmix64 mixer).
+	return p
+}()
+
+// fnvFold continues FNV-1a state h over the 8 little-endian bytes of
+// w: one round per byte up to the highest nonzero one, then a single
+// multiply for the zero bytes above it.
+//
+//manet:hotpath
+func fnvFold(h, w uint64) uint64 {
+	zeros := 8
+	for ; w != 0; w >>= 8 {
+		h ^= w & 0xFF
+		h *= fnvPrime
+		zeros--
+	}
+	return h * fnvZeros[zeros]
+}
+
+// mix64 is the splitmix64 finalizer, the weight's final avalanche.
+func mix64(h uint64) uint64 {
 	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
 	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
 	return h ^ (h >> 31)

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -39,6 +40,70 @@ func TestSweepDeterministicOrder(t *testing.T) {
 	// N-major ordering.
 	if a[0].N != 40 || a[1].N != 40 || a[2].N != 60 {
 		t.Fatalf("order: %v %v %v %v", a[0].N, a[1].N, a[2].N, a[3].N)
+	}
+}
+
+// TestStabilizedSweepMatchesStandalone: a sweep over the stabilized
+// configuration, whose debounced elector keeps per-node grace timers,
+// must give every cell exactly the Results of a standalone simnet.Run
+// of the same (N, seed). All cells share one Base.Elector value, so
+// this fails if runs share elector state (a data race under -race, and
+// debounce memory leaking from one cell into the next even serially).
+func TestStabilizedSweepMatchesStandalone(t *testing.T) {
+	resultsJSON := func(r *simnet.Results) []byte {
+		t.Helper()
+		data, err := json.Marshal(struct {
+			*simnet.Results
+			Config struct{}
+		}{Results: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	base := func() simnet.Config { return StabilizedConfig(simnet.Config{Duration: 60, Warmup: 10}) }
+	spec := SweepSpec{Ns: []int{40, 60}, Seeds: 3, Base: base(), Parallelism: 4}
+	cells := Sweep(spec)
+	if len(cells) != 6 {
+		t.Fatalf("cell count %d, want 6", len(cells))
+	}
+	for _, c := range cells {
+		if c.Err != nil {
+			t.Fatalf("cell N=%d seed=%d: %v", c.N, c.Seed, c.Err)
+		}
+		cfg := base() // a fresh elector: the standalone reference shares nothing
+		cfg.N, cfg.Seed = c.N, c.Seed
+		r, err := simnet.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resultsJSON(c.R), resultsJSON(r); !bytes.Equal(got, want) {
+			t.Errorf("cell N=%d seed=%d differs from standalone run:\nsweep:      %s\nstandalone: %s",
+				c.N, c.Seed, got, want)
+		}
+	}
+}
+
+// TestRoutingExperimentsReproducible: E13 (stretch) and E17 (query
+// cost) route over the upper hierarchy levels, whose adjacency order
+// decides path choice. Two runs in one process must print the same
+// bytes.
+func TestRoutingExperimentsReproducible(t *testing.T) {
+	for _, id := range []string{"E13", "E17"} {
+		e, ok := Find(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		var a, b bytes.Buffer
+		if err := e.Run(&a, QuickScale()); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(&b, QuickScale()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s output differs between two runs:\n%s\n---\n%s", id, a.String(), b.String())
+		}
 	}
 }
 

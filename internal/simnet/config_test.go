@@ -1,9 +1,11 @@
 package simnet
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/topology"
 )
 
 func TestNaiveNamingInflatesOverhead(t *testing.T) {
@@ -69,6 +71,39 @@ func TestDebouncedElectorReducesChurn(t *testing.T) {
 	}
 	if stab.GammaRate >= lit.GammaRate {
 		t.Fatalf("debounced γ %v not below memoryless γ %v", stab.GammaRate, lit.GammaRate)
+	}
+}
+
+// statefulOnly is a StatefulElector with no CloneElector: runs could
+// not get a private copy of its state.
+type statefulOnly struct{}
+
+func (statefulOnly) Name() string { return "stateful-only" }
+
+func (statefulOnly) Elect(dst []int, nodes []int, g *topology.Graph, prev func(int) int) []int {
+	return cluster.StickyLCA{}.Elect(dst, nodes, g, prev)
+}
+
+func (statefulOnly) ElectTracked(dst []int, ctx *cluster.ElectCtx) []int {
+	return cluster.StickyLCA{}.Elect(dst, ctx.Nodes, ctx.Graph, ctx.PrevHead)
+}
+
+// TestRunOwnsItsElector: a run elects with a private clone of
+// Config.Elector, leaving the caller's elector state untouched, and a
+// stateful elector that cannot be cloned is rejected up front.
+func TestRunOwnsItsElector(t *testing.T) {
+	deb := cluster.NewDebouncedLCA(15)
+	if _, err := Run(Config{N: 60, Seed: 14, Duration: 30, Warmup: 5, Elector: deb}); err != nil {
+		t.Fatal(err)
+	}
+	for level := 0; level < 8; level++ {
+		if p := deb.AppendPending(level, nil); len(p) != 0 {
+			t.Fatalf("run advanced the config's elector: level %d pending %v", level, p)
+		}
+	}
+	_, err := Run(Config{N: 8, Duration: 2, Warmup: -1, Elector: statefulOnly{}})
+	if err == nil || !strings.Contains(err.Error(), "CloneableElector") {
+		t.Fatalf("uncloneable stateful elector: err = %v, want a CloneableElector rejection", err)
 	}
 }
 

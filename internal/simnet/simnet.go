@@ -154,9 +154,13 @@ type Config struct {
 	GroupSize   int     // default 16
 	GroupRadius float64 // default 2·RTX
 
-	Elector   cluster.Elector // default MemorylessLCA
-	Hash      lm.HashFamily   // default Rendezvous
-	MaxLevels int             // hierarchy depth cap (default 24)
+	// Elector is the clusterhead election rule (default MemorylessLCA).
+	// Each run elects with its own CloneElector copy, so a stateful
+	// elector must be a cluster.CloneableElector (validation rejects
+	// it otherwise) and one Config can seed many runs.
+	Elector   cluster.Elector
+	Hash      lm.HashFamily // default Rendezvous
+	MaxLevels int           // hierarchy depth cap (default 24)
 
 	// NaiveNaming disables cluster identity continuity: LM hashing and
 	// handoff classification key on raw clusterhead IDs, so every head
@@ -325,6 +329,12 @@ func (c Config) validate() error {
 	if c.IntraTickParallelism < 0 {
 		return fmt.Errorf("simnet: IntraTickParallelism must be >= 0 (got %d)", c.IntraTickParallelism)
 	}
+	if _, stateful := c.Elector.(cluster.StatefulElector); stateful {
+		if _, ok := c.Elector.(cluster.CloneableElector); !ok {
+			return fmt.Errorf("simnet: stateful elector %q must implement cluster.CloneableElector so each run owns its state",
+				c.Elector.Name())
+		}
+	}
 	if _, ok := mobilityRegistry[c.Mobility]; !ok {
 		return fmt.Errorf("simnet: unknown mobility model %q (want one of %v)", c.Mobility, mobilityNames)
 	}
@@ -413,7 +423,15 @@ func setupRun(cfg Config) (*looper, error) {
 		nodes[i] = i
 	}
 
-	clusterCfg := cluster.Config{MaxLevels: cfg.MaxLevels, Elector: cfg.Elector}
+	// Each run owns its elector: a stateful elector's hysteresis memory
+	// must not be shared by runs built from one Config (sweep cells),
+	// which would race on it and leak state between them. validate
+	// guarantees a stateful elector is cloneable.
+	elector := cfg.Elector
+	if ce, ok := elector.(cluster.CloneableElector); ok {
+		elector = ce.CloneElector()
+	}
+	clusterCfg := cluster.Config{MaxLevels: cfg.MaxLevels, Elector: elector}
 	if cfg.TopArity > 0 {
 		clusterCfg.ForceTopAt = cfg.TopArity
 	}

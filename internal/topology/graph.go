@@ -41,7 +41,7 @@ func (k EdgeKey) String() string {
 // the level-0 IDs of clusterheads, which remain < n).
 //
 // Edges live in one of two stores: `edges`, a hash set fed by AddEdge
-// (the incremental path used by cluster lifting and tests), and
+// (the incremental path used by tests and reference builders), and
 // `bulk`, a sorted key slice filled by the bulk unit-disk builders —
 // which skip the hash set entirely so the hot link scan does no map
 // work and the parallel builder can assemble the graph from per-shard
@@ -215,10 +215,11 @@ func BuildUnitDiskInto(g *Graph, n int, pos []geom.Vec, rtx float64, idx *spatia
 }
 
 // BuildFromSortedEdgesInto materializes a graph from an ascending edge
-// key list (the kinetic tracker's incrementally maintained edge set):
+// key list (the kinetic tracker's edge set, a lifted cluster level):
 // g is Reset (or allocated when nil), the keys are copied into the
 // bulk store, and adjacency lists are filled in key order. The caller
-// must pass keys sorted ascending with no duplicates.
+// must pass keys sorted ascending with no duplicates; every adjacency
+// list is then ascending.
 //
 //manet:hotpath
 func BuildFromSortedEdgesInto(g *Graph, n int, edges []EdgeKey) *Graph {

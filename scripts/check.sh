@@ -73,6 +73,11 @@ go test -race -run 'TestZoo|TestGaussMarkov|TestManhattan|TestHotspot|TestSegmen
 go test -race -run 'TestLogShadow' -count=1 ./internal/topology || fail=1
 go test -race -run 'TestLogShadow|TestKineticRejectsScanOnlyLink|TestLinkConfigValidation' -count=1 ./internal/simnet || fail=1
 
+echo "== stabilized sweep (shared stateful elector, race, GOMAXPROCS=2)"
+# Every sweep cell must own its debounced elector: cells run
+# concurrently from one Base config and must match standalone runs.
+GOMAXPROCS=2 go test -race -run TestStabilizedSweepMatchesStandalone -count=1 ./internal/runner || fail=1
+
 echo "== race tests (measurement pipeline + serving path)"
 go test -race ./internal/obs ./internal/trace ./internal/stats ./internal/runner ./internal/serve || fail=1
 
